@@ -13,9 +13,12 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_core::attackers::AttackerKind;
-use vrr_core::regular::{HistoryRetention, RegularTuning};
+use vrr_core::regular::RegularTuning;
 use vrr_core::StorageConfig;
-use vrr_runtime::{NoDelay, ProtocolKind, ReaderTuning, StorageCluster};
+use vrr_runtime::{GroupSpec, NoDelay, ProtocolKind, ReaderTuning, ShardedStore};
+
+/// One register: a one-key store.
+type Register = ShardedStore<(), u64>;
 
 fn bench_protocol_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("latency/variant");
@@ -28,17 +31,17 @@ fn bench_protocol_variants(c: &mut Criterion) {
         ("regular-opt", ProtocolKind::RegularOptimized),
     ] {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind, Box::new(NoDelay));
-        storage.write(1);
+        let storage = Register::deploy(cfg, kind, Box::new(NoDelay), 1);
+        storage.write((), 1);
         group.bench_function(BenchmarkId::new("write", name), |b| {
             let mut v = 2u64;
             b.iter(|| {
                 v += 1;
-                storage.write(v)
+                storage.write((), v)
             });
         });
         group.bench_function(BenchmarkId::new("read", name), |b| {
-            b.iter(|| storage.read(0));
+            b.iter(|| storage.read(&(), 0));
         });
     }
 
@@ -47,35 +50,34 @@ fn bench_protocol_variants(c: &mut Criterion) {
     // fan-out is larger but a whole round-trip is saved, so `read/fast`
     // must beat the two-round `read/regular-opt` above.
     let cfg = StorageConfig::fast(1, 1, 1);
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
-    storage.write(1);
-    assert!(storage.read(0).fast, "fast path must fire fault-free");
+    let storage = Register::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 1);
+    storage.write((), 1);
+    assert!(
+        storage.read(&(), 0).unwrap().fast,
+        "fast path must fire fault-free"
+    );
     group.bench_function(BenchmarkId::new("read", "fast"), |b| {
-        b.iter(|| storage.read(0));
+        b.iter(|| storage.read(&(), 0));
     });
 
     // The fallback cost: same over-provisioned deployment, but an
     // unreachable confirmation threshold makes every read arm the fast
     // path, fail it, and complete through the two-round protocol — the
     // adversarial worst case, bounded near the plain two-round read.
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
-        cfg,
-        ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
-        HistoryRetention::KeepAll,
+    let spec = GroupSpec::new(cfg, ProtocolKind::RegularOptimized).with_tuning(
         ReaderTuning::Regular(RegularTuning {
             fast_threshold: Some(usize::MAX),
             ..RegularTuning::default()
         }),
     );
-    storage.write(1);
+    let storage = Register::deploy_spec(spec, Box::new(NoDelay), 1, |_shard, _i| None);
+    storage.write((), 1);
     assert!(
-        !storage.read(0).fast,
+        !storage.read(&(), 0).unwrap().fast,
         "fallback deployment must not fast-fire"
     );
     group.bench_function(BenchmarkId::new("read", "fast-fallback"), |b| {
-        b.iter(|| storage.read(0));
+        b.iter(|| storage.read(&(), 0));
     });
     group.finish();
 }
@@ -87,11 +89,10 @@ fn bench_object_count(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for t in [1usize, 2, 3, 5] {
         let cfg = StorageConfig::optimal(t, 1, 1); // S = 2t + 2
-        let storage: StorageCluster<u64> =
-            StorageCluster::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay));
-        storage.write(1);
+        let storage = Register::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay), 1);
+        storage.write((), 1);
         group.bench_function(BenchmarkId::new("read", format!("S{}", cfg.s)), |b| {
-            b.iter(|| storage.read(0));
+            b.iter(|| storage.read(&(), 0));
         });
     }
     group.finish();
@@ -109,13 +110,13 @@ fn bench_under_attack(c: &mut Criterion) {
         ("conflicter", Some(AttackerKind::Conflicter)),
         ("mute", Some(AttackerKind::Mute)),
     ] {
-        let storage: StorageCluster<u64> =
-            StorageCluster::deploy_with_objects(cfg, ProtocolKind::Safe, Box::new(NoDelay), |i| {
+        let storage =
+            Register::deploy_with_objects(cfg, ProtocolKind::Safe, Box::new(NoDelay), 1, |_, i| {
                 attacker.and_then(|kind| (i < cfg.b).then(|| kind.build_safe(cfg, 0xDEADu64)))
             });
-        storage.write(1);
+        storage.write((), 1);
         group.bench_function(BenchmarkId::new("read", name), |b| {
-            b.iter(|| storage.read(0));
+            b.iter(|| storage.read(&(), 0));
         });
     }
     group.finish();

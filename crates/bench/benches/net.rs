@@ -3,8 +3,8 @@
 //! The same two-round protocols, the same sizing (`optimal(1, 1, 1)`),
 //! two transports:
 //!
-//! * `net/{write,read}/inproc` — a [`StorageCluster`] on the worker-pool
-//!   runtime: every protocol message is an in-process channel send.
+//! * `net/{write,read}/inproc` — a one-key [`ShardedStore`] on the
+//!   worker-pool runtime: every protocol message is an in-process channel send.
 //! * `net/{write,read}/tcp` — the identical group split across two
 //!   [`NetNode`]s on localhost: every writer→object and reader→object
 //!   message is framed, crosses a real socket, and is decoded on the
@@ -21,29 +21,29 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use vrr_core::StorageConfig;
 use vrr_net::{free_addrs, GroupPlacement, NetNode, NetNodeConfig, NodeTopology};
-use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
+use vrr_runtime::{GroupSpec, NoDelay, ProtocolKind, ShardedStore};
 
 fn cfg() -> StorageConfig {
     StorageConfig::optimal(1, 1, 1)
 }
 
 fn bench_inproc(c: &mut Criterion) {
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg(), ProtocolKind::RegularOptimized, Box::new(NoDelay));
-    storage.write(1);
+    let register: ShardedStore<(), u64> =
+        ShardedStore::deploy(cfg(), ProtocolKind::RegularOptimized, Box::new(NoDelay), 1);
+    register.write((), 1);
 
     let mut group = c.benchmark_group("net/write");
     let mut v = 1u64;
     group.bench_function("inproc", |b| {
         b.iter(|| {
             v += 1;
-            storage.write(v)
+            register.write((), v)
         })
     });
     group.finish();
 
     let mut group = c.benchmark_group("net/read");
-    group.bench_function("inproc", |b| b.iter(|| storage.read(0)));
+    group.bench_function("inproc", |b| b.iter(|| register.read(&(), 0)));
     group.finish();
 }
 
@@ -61,7 +61,7 @@ fn bench_tcp(c: &mut Criterion) {
         },
         slots: 1,
     };
-    let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
+    let ncfg = NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::RegularOptimized));
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
     n0.write_slot(0, 1);

@@ -31,7 +31,9 @@ use vrr_net::{
     free_addrs, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, RemoteCluster,
     RemoteClusterConfig, RetryPolicy, StoreSpec,
 };
-use vrr_runtime::{ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
+use vrr_runtime::{
+    ClusterBackend, GroupSpec, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter,
+};
 use vrr_workload::ZipfianKeys;
 
 /// Distinct keys in the workload (the Zipfian key space).
@@ -44,8 +46,7 @@ const OPS_PER_CLIENT: u64 = 64;
 fn deploy_router(clusters: usize) -> StoreRouter<u64, u64> {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let router = StoreRouter::deploy(
-        cfg,
-        ProtocolKind::RegularOptimized,
+        GroupSpec::new(cfg, ProtocolKind::RegularOptimized),
         RouterConfig::new(clusters, KEYS as usize).with_seed(42),
     );
     // Pre-bind every key so iterations measure steady-state operations,
@@ -159,7 +160,8 @@ fn bench_router_overhead(c: &mut Criterion) {
             placement: GroupPlacement::single(0, cfg),
             slots: 1,
         };
-        let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
+        let mut ncfg =
+            NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::RegularOptimized));
         ncfg.store = Some(StoreSpec::new(KEYS as usize));
         NetNode::start(0, &topo, ncfg).expect("start store node")
     };

@@ -13,10 +13,7 @@
 
 use vrr_bench::{f2, Table};
 use vrr_core::{RegularProtocol, SafeProtocol, StorageConfig};
-use vrr_workload::{
-    generate, grid, regular_corruptor, run_schedule, safe_corruptor, FaultPlan, LatencyKind,
-    ScheduleParams,
-};
+use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     let seeds = 0..25u64;
@@ -50,30 +47,23 @@ fn main() {
         let mut agg: BTreeMap<AggKey, AggStats> = BTreeMap::new();
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 2);
-            let schedule = generate(ScheduleParams::contended(6, 6, 2, p.seed));
+            let params = ScheduleParams::contended(6, 6, 2, p.seed);
             let faults = match p.attacker {
                 None => FaultPlan::none(),
                 Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(30)),
             };
+            let latency = LatencyKind::Uniform(1, 8);
             let out = match protocol_name {
-                "safe" => run_schedule(
-                    &SafeProtocol,
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::Uniform(1, 8),
-                    p.seed,
-                    &safe_corruptor,
-                ),
-                _ => run_schedule(
-                    &RegularProtocol::full(),
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::Uniform(1, 8),
-                    p.seed,
-                    &regular_corruptor,
-                ),
+                "safe" => SimCase::new(&SafeProtocol, cfg)
+                    .schedule(params)
+                    .faults(faults)
+                    .latency(latency)
+                    .run(),
+                _ => SimCase::new(&RegularProtocol::full(), cfg)
+                    .schedule(params)
+                    .faults(faults)
+                    .latency(latency)
+                    .run(),
             };
             let key = (
                 p.t,

@@ -30,9 +30,7 @@ use vrr_checker::check_regularity;
 use vrr_core::attackers::{stale_safe_object, AttackerKind};
 use vrr_core::{Msg, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig};
 use vrr_sim::{SimTime, World};
-use vrr_workload::{
-    generate, regular_corruptor, run_schedule, FaultPlan, LatencyKind, ScheduleParams,
-};
+use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 struct Outcome {
     before_release: String,
@@ -135,17 +133,15 @@ fn run_fast_sweep_point(s: usize, t: usize, b: usize) -> SweepPoint {
     // Fallback rate of a contended run against b Inflators under long-tail
     // latency: reads overlapping writes (or quorums polluted by forged
     // histories) fall back; none may exceed two rounds or go stale.
-    let schedule = generate(ScheduleParams::contended(8, 40, 1, 13));
-    let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(25));
-    let out = run_schedule(
-        &protocol,
-        cfg,
-        &schedule,
-        &faults,
-        LatencyKind::LongTail,
-        13,
-        &regular_corruptor,
-    );
+    let out = SimCase::new(&protocol, cfg)
+        .schedule(ScheduleParams::contended(8, 40, 1, 13))
+        .faults(FaultPlan::maximal(
+            &cfg,
+            AttackerKind::Inflator,
+            SimTime::from_ticks(25),
+        ))
+        .latency(LatencyKind::LongTail)
+        .run();
     assert!(out.all_live(), "S={s}: stalled {}", out.stalled_ops);
     assert!(check_regularity(&out.history).is_ok(), "S={s}");
     assert!(out.max_read_rounds() <= 2, "S={s}");

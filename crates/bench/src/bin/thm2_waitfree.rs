@@ -18,9 +18,7 @@ use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::{RegisterProtocol, SafeProtocol, StorageConfig};
 use vrr_sim::{SimTime, World};
-use vrr_workload::{
-    generate, grid, run_schedule, safe_corruptor, FaultPlan, LatencyKind, ScheduleParams,
-};
+use vrr_workload::{generate, grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 /// Scenario 2: the writer crashes while its WRITE is in flight; a reader
 /// must still complete (and return either the old or the new value — the
@@ -68,16 +66,13 @@ fn main() {
             None => FaultPlan::random(&cfg, 200, p.seed),
             Some(kind) => FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(40)),
         };
-        let out = run_schedule(
-            &SafeProtocol,
-            cfg,
-            &schedule,
-            &faults,
-            LatencyKind::LongTail,
-            p.seed,
-            &safe_corruptor,
-        );
         total_ops += schedule.len();
+        let out = SimCase::new(&SafeProtocol, cfg)
+            .with_schedule(schedule)
+            .faults(faults)
+            .latency(LatencyKind::LongTail)
+            .seed(p.seed)
+            .run();
         stalled += out.stalled_ops;
     }
     let mut fam1 = Table::new(&["sweep points", "ops invoked", "ops stalled"]);
@@ -118,21 +113,16 @@ fn main() {
             let runs = 15u64;
             for seed in 0..runs {
                 let cfg = StorageConfig::optimal(t, b, 2);
-                let schedule = generate(ScheduleParams::contended(8, 8, 2, seed));
                 // Crashes land mid-run, right in the thick of traffic.
                 let mut faults = FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(25));
                 for (i, (_, at)) in faults.crashes.iter_mut().enumerate() {
                     *at = SimTime::from_ticks(10 + 7 * i as u64);
                 }
-                let out = run_schedule(
-                    &SafeProtocol,
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::Uniform(1, 20),
-                    seed,
-                    &safe_corruptor,
-                );
+                let out = SimCase::new(&SafeProtocol, cfg)
+                    .schedule(ScheduleParams::contended(8, 8, 2, seed))
+                    .faults(faults)
+                    .latency(LatencyKind::Uniform(1, 20))
+                    .run();
                 stalled += out.stalled_ops;
             }
             fam3.row_owned(vec![

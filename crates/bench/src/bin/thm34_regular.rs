@@ -15,9 +15,7 @@ use vrr_bench::Table;
 use vrr_checker::{check_atomicity, check_regularity};
 use vrr_core::regular::RegularTuning;
 use vrr_core::{MutantRegularProtocol, RegularProtocol, StorageConfig};
-use vrr_workload::{
-    generate, grid, regular_corruptor, run_schedule, FaultPlan, LatencyKind, ScheduleParams,
-};
+use vrr_workload::{grid, regular_corruptor, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     let points = grid(&[1, 2, 3], &[1, 2], 0..30u64);
@@ -43,20 +41,15 @@ fn main() {
         let mut inversions = 0u64;
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 3);
-            let schedule = generate(ScheduleParams::contended(8, 6, 3, p.seed));
             let faults = match p.attacker {
                 None => FaultPlan::random(&cfg, 300, p.seed),
                 Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(60)),
             };
-            let out = run_schedule(
-                &protocol,
-                cfg,
-                &schedule,
-                &faults,
-                LatencyKind::LongTail,
-                p.seed,
-                &regular_corruptor,
-            );
+            let out = SimCase::new(&protocol, cfg)
+                .schedule(ScheduleParams::contended(8, 6, 3, p.seed))
+                .faults(faults)
+                .latency(LatencyKind::LongTail)
+                .run();
             runs += 1;
             reads += out.read_rounds.len() as u64;
             stalls += out.stalled_ops as u64;
@@ -128,20 +121,17 @@ fn main() {
         'hunt: for kind in vrr_core::attackers::AttackerKind::ALL {
             for seed in 0..60u64 {
                 let cfg = StorageConfig::optimal(2, 2, 2);
-                let schedule = generate(ScheduleParams::contended(6, 8, 2, seed));
                 let faults = FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50));
-                let out = run_schedule(
-                    &MutantRegularProtocol {
-                        tuning,
-                        optimized: false,
-                    },
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::LongTail,
-                    seed,
-                    &regular_corruptor,
-                );
+                let mutant = MutantRegularProtocol {
+                    tuning,
+                    optimized: false,
+                };
+                let out = SimCase::new(&mutant, cfg)
+                    .schedule(ScheduleParams::contended(6, 8, 2, seed))
+                    .faults(faults)
+                    .latency(LatencyKind::LongTail)
+                    .corruptor(&regular_corruptor)
+                    .run();
                 if let Err(vs) = check_regularity(&out.history) {
                     caught = Some((
                         "regularity checker".into(),

@@ -27,7 +27,7 @@
 //! ```
 //!
 //! The same snapshot shape — identical metric names — is produced by
-//! `vrr-runtime`'s `StorageCluster::metrics_snapshot()`, so assertions and
+//! `vrr-runtime`'s `ShardedStore::metrics_snapshot()`, so assertions and
 //! dashboards carry over between the simulator and the thread runtime.
 
 use std::marker::PhantomData;

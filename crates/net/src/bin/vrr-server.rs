@@ -19,7 +19,9 @@
 //! `ShardedStore<Vec<u8>, u64>` of that many register shards, served to
 //! remote `StoreRouter`s through `vrr_net::RemoteCluster` (router-member
 //! mode); `--store-byzantine` substitutes an attacker for the named
-//! object of **every** store shard. With `--metrics-addr` the process
+//! object of **every** store shard. `--kind`, `--retention` and the
+//! sizing flags form one `GroupSpec`, which builds the slot groups and
+//! every store shard alike. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
 
@@ -32,7 +34,7 @@ use vrr_core::StorageConfig;
 use vrr_net::{
     ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, StoreByzSpec, StoreSpec,
 };
-use vrr_runtime::ProtocolKind;
+use vrr_runtime::{GroupSpec, ProtocolKind};
 
 fn usage(err: &str) -> ! {
     eprintln!("vrr-server: {err}");
@@ -198,6 +200,10 @@ fn main() {
     } else {
         StorageConfig::optimal(t, b, readers)
     };
+    let mut group = GroupSpec::new(cfg, kind);
+    if retention_reader_ack {
+        group.retention = HistoryRetention::reader_ack(cfg.readers);
+    }
     let placement = GroupPlacement {
         objects: place_objects.unwrap_or_else(|| vec![0; cfg.s]),
         writer: place_writer.unwrap_or(0),
@@ -221,13 +227,10 @@ fn main() {
         placement,
         slots,
     };
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, kind);
+    let mut ncfg = NetNodeConfig::<u64>::new(group);
     ncfg.epoch = epoch;
     ncfg.workers = workers;
     ncfg.byzantine = byzantine;
-    if retention_reader_ack {
-        ncfg.retention = HistoryRetention::reader_ack(cfg.readers);
-    }
     if !store_byzantine.is_empty() && store_capacity.is_none() {
         usage("--store-byzantine needs --store");
     }

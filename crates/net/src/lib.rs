@@ -11,14 +11,14 @@
 //! - [`reactor`] — a single-threaded epoll event loop (via the vendored
 //!   `mio` shim) owning every socket: non-blocking accept/connect/read/
 //!   write, per-connection write queues, incremental frame extraction.
-//! - [`transport`] — the [`transport::Transport`] trait with
-//!   [`transport::InProc`] (loopback, for differential tests) and
+//! - [`transport`] — the [`transport::Transport`] trait and
 //!   [`transport::TcpTransport`] (peer table, `Hello` handshakes,
 //!   reconnect-on-demand, lossy-on-reset delivery).
 //! - [`node`] — [`node::NetNode`]: one OS process of a deployment. Spawns
-//!   the full global pid space ([`vrr_runtime::spawn_group_with`]) with
-//!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
-//!   workloads run unchanged whether members share a process or not.
+//!   the full global pid space ([`vrr_runtime::spawn_group_with`] over the
+//!   node's [`vrr_runtime::GroupSpec`]) with [`node::Relay`] stand-ins for
+//!   remote pids, so single-register workloads run unchanged whether
+//!   members share a process or not.
 //! - [`client`] — [`client::NetClient`] / [`client::NetStore`]: a blocking
 //!   thin client (write/read/metrics/fault-injection ops) and a
 //!   `ShardedStore`-style key→slot facade over it.
@@ -77,4 +77,4 @@ pub use node::{
 };
 pub use reactor::{ConnId, NetCounters, NetEvent, ReactorHandle};
 pub use remote::{RemoteCluster, RemoteClusterConfig};
-pub use transport::{InProc, Inbound, TcpTransport, Transport};
+pub use transport::{Inbound, TcpTransport, Transport};

@@ -28,12 +28,11 @@ use parking_lot::Mutex;
 
 use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, MetricsSink, Registry};
-use vrr_core::regular::HistoryRetention;
 use vrr_core::wire::Wire;
 use vrr_core::{Msg, ReadReport, StorageConfig, Value, WriteReport};
 use vrr_runtime::{
     blocking_read, blocking_write, group_span, spawn_group_with, Cluster, GroupPids, GroupRole,
-    NoDelay, ProtocolKind, ReaderTuning, ShardedStore, StoreError,
+    GroupSpec, NoDelay, ProtocolKind, ShardedStore, StoreError,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -177,14 +176,9 @@ impl<V> StoreSpec<V> {
 /// Per-node deployment parameters (the parts not fixed by the topology).
 #[derive(Clone, Debug)]
 pub struct NetNodeConfig<V> {
-    /// Register sizing.
-    pub cfg: StorageConfig,
-    /// Protocol variant.
-    pub kind: ProtocolKind,
-    /// History retention for regular objects.
-    pub retention: HistoryRetention,
-    /// Optional reader tuning override.
-    pub tuning: Option<ReaderTuning>,
+    /// How every register group is built — the slot groups and, in store
+    /// mode, every shard of the hosted store.
+    pub group: GroupSpec,
     /// This process's incarnation (bump on restart).
     pub epoch: u32,
     /// Worker threads for the local cluster.
@@ -200,14 +194,11 @@ pub struct NetNodeConfig<V> {
 }
 
 impl<V> NetNodeConfig<V> {
-    /// Defaults: keep-all retention, default tuning, epoch 0, one worker,
-    /// no Byzantine objects, no hosted store, no metrics endpoint.
-    pub fn new(cfg: StorageConfig, kind: ProtocolKind) -> Self {
+    /// Defaults: epoch 0, one worker, no Byzantine objects, no hosted
+    /// store, no metrics endpoint.
+    pub fn new(group: GroupSpec) -> Self {
         NetNodeConfig {
-            cfg,
-            kind,
-            retention: HistoryRetention::KeepAll,
-            tuning: None,
+            group,
             epoch: 0,
             workers: 1,
             byzantine: Vec::new(),
@@ -254,7 +245,8 @@ impl<V: Value + Wire> NetNode<V> {
         let (handle, ev_rx, bound, metrics_addr) =
             reactor::spawn_with_http(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let addr = bound.expect("listening reactor reports its address");
-        let pid_node = topo.pid_node(ncfg.cfg);
+        let GroupSpec { cfg, kind, .. } = ncfg.group;
+        let pid_node = topo.pid_node(cfg);
         let transport = TcpTransport::<V>::new(
             node,
             ncfg.epoch,
@@ -263,73 +255,51 @@ impl<V: Value + Wire> NetNode<V> {
             handle,
         );
 
-        let span = group_span(ncfg.cfg);
+        let attacker = |attack: AttackerKind, forged: &V| match kind {
+            ProtocolKind::Safe => attack.build_safe(cfg, forged.clone()),
+            ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
+                attack.build_regular(cfg, forged.clone())
+            }
+        };
+        let span = group_span(cfg);
         let mut cluster: Cluster<Msg<V>> =
             Cluster::with_workers(Box::new(NoDelay), ncfg.workers.max(1));
         let mut groups = Vec::with_capacity(topo.slots);
         for slot in 0..topo.slots {
-            let pids = spawn_group_with(
-                &mut cluster,
-                ncfg.cfg,
-                ncfg.kind,
-                ncfg.retention,
-                ncfg.tuning,
-                |role| {
-                    let member = member_index(ncfg.cfg, role);
-                    if topo.placement.node_of(role) != node {
-                        let dyn_transport: Arc<dyn Transport<V>> = transport.clone();
-                        return Some(Box::new(Relay::new(
-                            ProcessId(slot * span + member),
-                            dyn_transport,
-                        )));
-                    }
-                    if let GroupRole::Object(i) = role {
-                        if let Some(spec) = ncfg
-                            .byzantine
-                            .iter()
-                            .find(|s| s.slot == slot && s.object == i)
-                        {
-                            return Some(match ncfg.kind {
-                                ProtocolKind::Safe => {
-                                    spec.kind.build_safe(ncfg.cfg, spec.forged.clone())
-                                }
-                                ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-                                    spec.kind.build_regular(ncfg.cfg, spec.forged.clone())
-                                }
-                            });
-                        }
-                    }
-                    None
-                },
-            );
+            let pids = spawn_group_with(&mut cluster, ncfg.group, |role| {
+                let member = member_index(cfg, role);
+                if topo.placement.node_of(role) != node {
+                    let dyn_transport: Arc<dyn Transport<V>> = transport.clone();
+                    return Some(Box::new(Relay::new(
+                        ProcessId(slot * span + member),
+                        dyn_transport,
+                    )));
+                }
+                let GroupRole::Object(i) = role else {
+                    return None;
+                };
+                ncfg.byzantine
+                    .iter()
+                    .find(|s| s.slot == slot && s.object == i)
+                    .map(|s| attacker(s.kind, &s.forged))
+            });
             groups.push(pids);
         }
         cluster.seal();
 
         let store = ncfg.store.as_ref().map(|spec| {
-            ShardedStore::deploy_with_objects(
-                ncfg.cfg,
-                ncfg.kind,
-                Box::new(NoDelay),
-                spec.capacity,
-                |_shard, i| {
-                    spec.byzantine
-                        .iter()
-                        .find(|b| b.object == i)
-                        .map(|b| match ncfg.kind {
-                            ProtocolKind::Safe => b.kind.build_safe(ncfg.cfg, b.forged.clone()),
-                            ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-                                b.kind.build_regular(ncfg.cfg, b.forged.clone())
-                            }
-                        })
-                },
-            )
+            ShardedStore::deploy_spec(ncfg.group, Box::new(NoDelay), spec.capacity, |_shard, i| {
+                spec.byzantine
+                    .iter()
+                    .find(|b| b.object == i)
+                    .map(|b| attacker(b.kind, &b.forged))
+            })
         });
 
         let ctx = Arc::new(ServerCtx {
             node,
-            cfg: ncfg.cfg,
-            kind: ncfg.kind,
+            cfg,
+            kind,
             cluster: Arc::new(cluster),
             groups,
             placement: topo.placement.clone(),
@@ -721,4 +691,36 @@ pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
         .collect::<io::Result<_>>()?;
     listeners.iter().map(|l| l.local_addr()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use vrr_core::regular::HistoryRetention;
+
+    use super::*;
+
+    #[test]
+    fn store_mode_honours_the_group_retention() {
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let topo = NodeTopology {
+            addrs: free_addrs(1).expect("reserve a port"),
+            placement: GroupPlacement::single(0, cfg),
+            slots: 0,
+        };
+        let group = GroupSpec::new(cfg, ProtocolKind::RegularOptimized)
+            .with_retention(HistoryRetention::reader_ack(cfg.readers));
+        let mut ncfg = NetNodeConfig::<u64>::new(group);
+        ncfg.store = Some(StoreSpec::new(2));
+        let node = NetNode::start(0, &topo, ncfg).expect("start node");
+        let store = node.store().expect("store mode");
+        let key = b"hot".to_vec();
+        for k in 1..=60u64 {
+            store.write(key.clone(), k);
+            assert_eq!(store.read(&key, 0).unwrap().value, Some(k));
+        }
+        let slot = store.shard_of(&key).unwrap();
+        for len in store.history_lens(slot) {
+            assert!(len <= 5, "hosted store history len {len} not bounded");
+        }
+    }
 }

@@ -1,10 +1,7 @@
 //! The [`Transport`] abstraction: how a relayed protocol message gets from
 //! one OS process to another.
 //!
-//! [`InProc`] is the loopback implementation — messages cross a channel,
-//! no sockets involved — used for differential tests (the same workload
-//! over `InProc` and [`Tcp`](TcpTransport) must produce checker-identical
-//! histories). [`TcpTransport`] is the real one: envelopes framed by
+//! [`TcpTransport`] is the implementation: envelopes framed by
 //! [`crate::frame`] over reactor-owned sockets, with a per-peer connection
 //! table, `Hello` handshakes, and reconnect-on-demand.
 //!
@@ -20,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use vrr_core::metrics::{names, MetricsSink, Registry};
 use vrr_core::wire::Wire;
@@ -37,33 +33,8 @@ pub trait Transport<V>: Send + Sync {
     /// Ships `msg`, sent by global pid `from`, toward global pid `to`.
     fn forward(&self, from: ProcessId, to: ProcessId, msg: Msg<V>);
 
-    /// A short label for metrics and logs (`"inproc"` / `"tcp"`).
+    /// A short label for metrics and logs (e.g. `"tcp"`).
     fn scheme(&self) -> &'static str;
-}
-
-/// Loopback transport: forwarded messages appear on a channel for the
-/// caller to pump into a destination cluster via `send_external`.
-pub struct InProc<V> {
-    tx: Sender<(ProcessId, ProcessId, Msg<V>)>,
-}
-
-impl<V> InProc<V> {
-    /// A transport plus the receiving end of its channel.
-    #[allow(clippy::type_complexity)]
-    pub fn pair() -> (InProc<V>, Receiver<(ProcessId, ProcessId, Msg<V>)>) {
-        let (tx, rx) = unbounded();
-        (InProc { tx }, rx)
-    }
-}
-
-impl<V: Send> Transport<V> for InProc<V> {
-    fn forward(&self, from: ProcessId, to: ProcessId, msg: Msg<V>) {
-        let _ = self.tx.send((from, to, msg));
-    }
-
-    fn scheme(&self) -> &'static str {
-        "inproc"
-    }
 }
 
 /// Cap on frames buffered for a peer whose connection is still coming up.
@@ -452,26 +423,5 @@ impl<V: Wire + Send> Transport<V> for TcpTransport<V> {
 
     fn scheme(&self) -> &'static str {
         "tcp"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inproc_forward_appears_on_channel() {
-        let (t, rx) = InProc::<u64>::pair();
-        t.forward(
-            ProcessId(3),
-            ProcessId(0),
-            Msg::WAck {
-                ts: vrr_core::Timestamp(7),
-            },
-        );
-        let (from, to, msg) = rx.recv().unwrap();
-        assert_eq!((from, to), (ProcessId(3), ProcessId(0)));
-        assert!(matches!(msg, Msg::WAck { ts } if ts.0 == 7));
-        assert_eq!(t.scheme(), "inproc");
     }
 }

@@ -16,7 +16,7 @@ use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameError, Frame
 use vrr_net::{
     free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, MAX_FRAME_LEN,
 };
-use vrr_runtime::ProtocolKind;
+use vrr_runtime::{GroupSpec, ProtocolKind};
 
 fn hello_frame(node: u32) -> Vec<u8> {
     encode_frame(&Envelope::<u64> {
@@ -138,7 +138,7 @@ fn live_node_survives_socket_garbage() {
     let node = NetNode::start(
         0,
         &topo,
-        NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular),
+        NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::Regular)),
     )
     .expect("start node");
     let addr = node.addr();

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use vrr_checker::{check_regularity, OpHistory};
 use vrr_core::{HistEntry, History, StorageConfig, Timestamp, TsVal, TsrMatrix, WTuple};
 use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
-use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
+use vrr_runtime::{GroupSpec, NoDelay, ProtocolKind, ShardedStore};
 
 /// SplitMix64 — one shared schedule for both executions.
 struct Gen(u64);
@@ -83,14 +83,16 @@ fn tcp_and_inproc_traces_are_byte_identical() {
     let steps = schedule(0x7_2ACE, 40, cfg.readers);
 
     // Execution A: threads and channels.
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+    // A read before the first write finds the key unbound and returns
+    // `None` — the same value a network read of a fresh register returns.
+    let register: ShardedStore<(), u64> =
+        ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 1);
     let inproc = replay(
         &steps,
         |v| {
-            storage.write(v);
+            register.write((), v);
         },
-        |j| storage.read(j).value,
+        |j| register.read(&(), j).and_then(|r| r.value),
     );
 
     // Execution B: the same group split across two NetNodes, every
@@ -104,7 +106,7 @@ fn tcp_and_inproc_traces_are_byte_identical() {
         },
         slots: 1,
     };
-    let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
+    let ncfg = NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::RegularOptimized));
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
     let tcp = replay(
@@ -139,7 +141,7 @@ fn history_echoed_through_server_is_equal() {
     let node = NetNode::start(
         0,
         &topo,
-        NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular),
+        NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::Regular)),
     )
     .expect("start node");
 

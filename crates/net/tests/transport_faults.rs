@@ -25,7 +25,7 @@ use vrr_core::StorageConfig;
 use vrr_net::{
     free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
 };
-use vrr_runtime::ProtocolKind;
+use vrr_runtime::{GroupSpec, ProtocolKind};
 
 /// SplitMix64 workload scheduler.
 struct Gen(u64);
@@ -109,7 +109,8 @@ fn byzantine_objects_over_tcp_stay_regular() {
     for (i, kind) in AttackerKind::ALL.into_iter().enumerate() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let topo = two_node_topology(cfg);
-        let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
+        let mut ncfg =
+            NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::RegularOptimized));
         ncfg.byzantine = vec![ByzSpec {
             slot: 0,
             object: cfg.s - 1,
@@ -303,7 +304,7 @@ fn connection_resets_between_read_rounds_stay_regular() {
         },
         slots: 1,
     };
-    let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular);
+    let ncfg = NetNodeConfig::<u64>::new(GroupSpec::new(cfg, ProtocolKind::Regular));
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let _n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
 

@@ -160,8 +160,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::ProtocolKind;
     use crate::router::NoDelay;
-    use crate::storage::ProtocolKind;
     use vrr_core::StorageConfig;
 
     #[test]

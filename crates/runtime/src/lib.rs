@@ -11,10 +11,12 @@
 //! shard's timer wheel, so an idle cluster blocks on condvars — zero
 //! wakeups — instead of polling.
 //!
-//! On top of the single-register [`StorageCluster`], [`ShardedStore`] maps
-//! keys onto independent register shards (each with its own writer, base
-//! objects and readers) over one shared [`Cluster`], giving key-value
-//! workloads true multi-key parallelism. One level up again,
+//! [`ShardedStore`] maps keys onto independent register groups (each with
+//! its own writer, base objects and readers) over one shared [`Cluster`],
+//! giving key-value workloads true multi-key parallelism; the paper's
+//! single register is the one-key case, a `ShardedStore<(), V>` of
+//! capacity one. Every group is built from one [`GroupSpec`] — sizing,
+//! protocol, history retention, reader tuning. One level up,
 //! [`StoreRouter`] partitions the key space across *multiple independent*
 //! clusters through a seeded-hash [`RingTable`] — deterministic,
 //! directory-free routing with live cluster add/remove (rebalance stays
@@ -25,27 +27,26 @@
 //! heterogeneous backends.
 //!
 //! Long-running regular deployments should pair the §5.1 suffix transfers
-//! with reader-ack history GC —
-//! [`StorageCluster::deploy_with_retention`] /
-//! [`ShardedStore::deploy_with_retention`] with
+//! with reader-ack history GC — a [`GroupSpec`] whose `retention` is
 //! [`vrr_core::regular::HistoryRetention::reader_ack`] — so object memory
 //! is bounded by reader concurrency instead of run length; the safety
 //! argument lives in the [`vrr_core::regular`] module docs, and
-//! `history_lens` exposes the observable both deployments are tested on.
+//! [`ShardedStore::history_lens`] exposes the observable it is tested on.
 //!
 //! Use the simulator for correctness experiments (replayable adversarial
 //! schedules) and this runtime for wall-clock benchmarks and the networked
 //! examples — the protocol code is identical in both.
 //!
 //! ```
-//! use vrr_runtime::{StorageCluster, ProtocolKind, NoDelay};
+//! use vrr_runtime::{NoDelay, ProtocolKind, ShardedStore};
 //! use vrr_core::StorageConfig;
 //!
 //! let cfg = StorageConfig::optimal(1, 1, 1); // S = 4 objects
-//! let storage: StorageCluster<String> =
-//!     StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
-//! storage.write("hello".to_string());
-//! assert_eq!(storage.read(0).value.as_deref(), Some("hello"));
+//! let register: ShardedStore<(), String> =
+//!     ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 1);
+//! register.write((), "hello".to_string());
+//! let read = register.read(&(), 0).expect("the key is bound");
+//! assert_eq!(read.value.as_deref(), Some("hello"));
 //! ```
 
 #![warn(missing_docs)]
@@ -53,20 +54,20 @@
 mod backend;
 mod cluster;
 mod executor;
+mod group;
 mod ring;
 mod router;
 mod scaleout;
 mod shard;
-mod storage;
 
 pub use backend::ClusterBackend;
 pub use cluster::{Cluster, NodeGone};
 pub use executor::ExecutorStats;
+pub use group::{
+    blocking_read, blocking_write, group_member, group_span, spawn_group_with, GroupPids,
+    GroupRole, GroupSpec, ProtocolKind, ReaderTuning,
+};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use router::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
-pub use storage::{
-    blocking_read, blocking_write, group_member, group_span, spawn_group_with, GroupPids,
-    GroupRole, ProtocolKind, ReaderTuning, StorageCluster,
-};

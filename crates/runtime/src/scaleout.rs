@@ -44,13 +44,13 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use vrr_core::metrics::{names, MetricsSink, Registry};
-use vrr_core::{ReadReport, StorageConfig, Value, WriteReport};
+use vrr_core::{ReadReport, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
+use crate::group::GroupSpec;
 use crate::ring::RingTable;
 use crate::router::NoDelay;
 use crate::shard::{ShardedStore, StoreError};
-use crate::storage::ProtocolKind;
 
 /// Sizing and seeding of a [`StoreRouter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,15 +113,11 @@ type ClusterList<K, V> = Vec<Option<Arc<dyn ClusterBackend<K, V>>>>;
 /// # Examples
 ///
 /// ```
-/// use vrr_runtime::{StoreRouter, RouterConfig, ProtocolKind};
+/// use vrr_runtime::{GroupSpec, ProtocolKind, RouterConfig, StoreRouter};
 /// use vrr_core::StorageConfig;
 ///
-/// let cfg = StorageConfig::optimal(1, 1, 1);
-/// let router: StoreRouter<&'static str, u64> = StoreRouter::deploy(
-///     cfg,
-///     ProtocolKind::RegularOptimized,
-///     RouterConfig::new(2, 8),
-/// );
+/// let spec = GroupSpec::new(StorageConfig::optimal(1, 1, 1), ProtocolKind::RegularOptimized);
+/// let router: StoreRouter<&'static str, u64> = StoreRouter::deploy(spec, RouterConfig::new(2, 8));
 /// router.write("alpha", 1);
 /// router.write("beta", 2);
 /// assert_eq!(router.read(&"alpha", 0).unwrap().value, Some(1));
@@ -151,41 +147,30 @@ where
     V: Value,
 {
     /// Deploys `rc.clusters` shard-clusters, each a [`ShardedStore`] of
-    /// `rc.capacity_per_cluster` register shards running `kind` under
-    /// `cfg`, with no artificial link delay.
+    /// `rc.capacity_per_cluster` register shards built from `spec`, with
+    /// no artificial link delay.
     ///
     /// # Panics
     ///
     /// Panics if any of `rc.clusters`, `rc.capacity_per_cluster` or
     /// `rc.ring_slots` is zero.
-    pub fn deploy(cfg: StorageConfig, kind: ProtocolKind, rc: RouterConfig) -> Self {
-        Self::deploy_with_stores(rc, move |_cluster| {
-            ShardedStore::deploy(cfg, kind, Box::new(NoDelay), rc.capacity_per_cluster)
-        })
-    }
-
-    /// Like [`StoreRouter::deploy`], but every shard-cluster is built by
-    /// `factory(cluster_index)` — the hook for per-cluster link policies,
-    /// history retention, or Byzantine object substitution in fault
-    /// drills. The factory is retained and reused by
-    /// [`StoreRouter::add_cluster`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rc.clusters` or `rc.ring_slots` is zero.
-    pub fn deploy_with_stores(
-        rc: RouterConfig,
-        mut factory: impl FnMut(usize) -> ShardedStore<K, V> + Send + 'static,
-    ) -> Self {
-        Self::deploy_with_backends(rc, move |cluster| {
-            Arc::new(factory(cluster)) as Arc<dyn ClusterBackend<K, V>>
+    pub fn deploy(spec: GroupSpec, rc: RouterConfig) -> Self {
+        Self::deploy_with_backends(rc, move |_cluster| {
+            Arc::new(ShardedStore::deploy_spec(
+                spec,
+                Box::new(NoDelay),
+                rc.capacity_per_cluster,
+                |_shard, _i| None,
+            ))
         })
     }
 
     /// The fully general deployment: every cluster is whatever
     /// [`ClusterBackend`] `factory(cluster_index)` returns — in-process
-    /// stores, `RemoteCluster`s speaking to other OS processes, or a mix.
-    /// The factory is retained and reused by [`StoreRouter::add_cluster`].
+    /// stores (the hook for per-cluster link policies, group specs or
+    /// Byzantine substitution in fault drills), `RemoteCluster`s speaking
+    /// to other OS processes, or a mix. The factory is retained and reused
+    /// by [`StoreRouter::add_cluster`].
     ///
     /// # Panics
     ///
@@ -476,11 +461,14 @@ where
 mod tests {
     use super::*;
 
+    use vrr_core::StorageConfig;
+
+    use crate::group::ProtocolKind;
+
     fn tiny_router(clusters: usize) -> StoreRouter<String, u64> {
         let cfg = StorageConfig::optimal(1, 1, 1);
         StoreRouter::deploy(
-            cfg,
-            ProtocolKind::Regular,
+            GroupSpec::new(cfg, ProtocolKind::Regular),
             RouterConfig::new(clusters, 32).with_ring_slots(16),
         )
     }
@@ -603,8 +591,7 @@ mod tests {
     fn over_capacity_surfaces_as_typed_error() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let router: StoreRouter<u64, u64> = StoreRouter::deploy(
-            cfg,
-            ProtocolKind::Safe,
+            GroupSpec::new(cfg, ProtocolKind::Safe),
             RouterConfig::new(1, 2).with_ring_slots(4),
         );
         router.write(1, 1);

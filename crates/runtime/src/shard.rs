@@ -10,6 +10,9 @@
 //! run through disjoint automata and proceed in parallel across the worker
 //! pool; operations on one key keep the paper's SWMR semantics (the
 //! per-shard write lock *is* the single writer).
+//!
+//! A single register is a one-key store: `ShardedStore<(), V>` of
+//! capacity 1, written with `write((), v)` and read with `read(&(), j)`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,21 +23,25 @@ use parking_lot::{Mutex, RwLock};
 
 use vrr_sim::{Automaton, ProcessId};
 
-use vrr_core::metrics::{self, Registry};
-use vrr_core::regular::HistoryRetention;
+use vrr_core::metrics::{self, MetricsSink, Registry};
+use vrr_core::regular::{RegularObject, RegularReader};
+use vrr_core::safe::SafeReader;
 use vrr_core::{FastPathStats, Msg, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::cluster::Cluster;
-use crate::router::LinkPolicy;
-use crate::storage::{
-    blocking_read, blocking_write, record_executor_stats, record_read, record_write,
-    spawn_register_group, try_history_lens, ProtocolKind, ReaderTuning, RegisterGroup,
+use crate::group::{
+    blocking_read, blocking_write, spawn_group_with, GroupPids, GroupRole, GroupSpec, ProtocolKind,
 };
+use crate::router::LinkPolicy;
 
 /// One register shard plus the client-side locks that keep its automata
 /// single-invocation (SWMR writer; one outstanding read per reader).
 struct Shard {
-    group: RegisterGroup,
+    pids: GroupPids,
+    /// Object indices whose automaton the deploy factory substituted —
+    /// skipped by the tolerant history inspection of metrics snapshots (a
+    /// downcast mismatch inside an invoke would poison the process).
+    byzantine: Vec<usize>,
     write_lock: Mutex<()>,
     reader_locks: Vec<Mutex<()>>,
 }
@@ -142,74 +149,27 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
 impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// Deploys `capacity` register shards — each `cfg.s` objects, one
     /// writer and `cfg.readers` readers running `kind` — over one shared
-    /// cluster with one worker per available CPU.
+    /// cluster with one worker per available CPU. Shorthand for
+    /// [`ShardedStore::deploy_spec`] with [`GroupSpec::new`] and no
+    /// substitutions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
     pub fn deploy(
         cfg: StorageConfig,
         kind: ProtocolKind,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
         capacity: usize,
     ) -> Self {
-        Self::deploy_with_objects(cfg, kind, policy, capacity, |_shard, _i| None)
-    }
-
-    /// Like [`ShardedStore::deploy`], but every shard's regular objects
-    /// run `retention` instead of the paper-faithful
-    /// [`HistoryRetention::KeepAll`] — the bounded-memory configuration
-    /// for long-running multi-key deployments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn deploy_with_retention(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-        retention: HistoryRetention,
-    ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            retention,
-            None,
-            |_shard, _i| None,
-        )
-    }
-
-    /// Like [`ShardedStore::deploy_with_retention`], but every reader of
-    /// every shard runs `tuning` — the multi-key counterpart of
-    /// [`crate::StorageCluster::deploy_with_reader_tuning`].
-    /// Over-provision with [`StorageConfig::fast`] to arm the one-round
-    /// fast path on every shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or the [`ReaderTuning`] variant does not
-    /// match `kind`.
-    pub fn deploy_with_reader_tuning(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-        retention: HistoryRetention,
-        tuning: ReaderTuning,
-    ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            retention,
-            Some(tuning),
-            |_shard, _i| None,
-        )
+        Self::deploy_spec(GroupSpec::new(cfg, kind), policy, capacity, |_shard, _i| {
+            None
+        })
     }
 
     /// Like [`ShardedStore::deploy`], but `factory(shard, i)` may
-    /// substitute the automaton of object `i` in `shard` — the hook for
-    /// deploying Byzantine objects on selected shards.
+    /// substitute the automaton of object `i` in `shard`. Shorthand for
+    /// [`ShardedStore::deploy_spec`] with [`GroupSpec::new`].
     ///
     /// # Panics
     ///
@@ -221,45 +181,54 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         capacity: usize,
         factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            HistoryRetention::KeepAll,
-            None,
-            factory,
-        )
+        Self::deploy_spec(GroupSpec::new(cfg, kind), policy, capacity, factory)
     }
 
-    fn deploy_inner(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
+    /// Deploys `capacity` register shards, each built from `spec`, over
+    /// one shared cluster whose links follow `policy`. `factory(shard, i)`
+    /// may substitute the automaton of object `i` in `shard` — the hook
+    /// for deploying Byzantine objects (e.g. from
+    /// [`vrr_core::attackers`]); returning `None` deploys the honest
+    /// object for the protocol.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`, or on a `spec` that
+    /// [`spawn_group_with`] rejects.
+    pub fn deploy_spec(
+        spec: GroupSpec,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
         capacity: usize,
-        retention: HistoryRetention,
-        tuning: Option<ReaderTuning>,
         mut factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
         assert!(capacity > 0, "a sharded store needs at least one shard");
         let mut cluster: Cluster<Msg<V>> = Cluster::new(policy);
         let shards: Vec<Shard> = (0..capacity)
             .map(|s| {
-                let group = spawn_register_group(&mut cluster, cfg, kind, retention, tuning, |i| {
-                    factory(s, i)
+                let mut byzantine = Vec::new();
+                let pids = spawn_group_with(&mut cluster, spec, |role| match role {
+                    GroupRole::Object(i) => {
+                        let substituted = factory(s, i);
+                        if substituted.is_some() {
+                            byzantine.push(i);
+                        }
+                        substituted
+                    }
+                    GroupRole::Writer | GroupRole::Reader(_) => None,
                 });
                 Shard {
-                    group,
+                    pids,
+                    byzantine,
                     write_lock: Mutex::new(()),
-                    reader_locks: (0..cfg.readers).map(|_| Mutex::new(())).collect(),
+                    reader_locks: (0..spec.cfg.readers).map(|_| Mutex::new(())).collect(),
                 }
             })
             .collect();
         cluster.seal();
         ShardedStore {
             cluster,
-            kind,
-            cfg,
+            kind: spec.kind,
+            cfg: spec.cfg,
             shards,
             index: RwLock::new(KeyIndex {
                 map: HashMap::new(),
@@ -372,7 +341,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         let shard = &self.shards[slot];
         let _writing = shard.write_lock.lock();
         let started = Instant::now();
-        let report = blocking_write(&self.cluster, shard.group.writer, value);
+        let report = blocking_write(&self.cluster, shard.pids.writer, value);
         record_write(&self.ops, report.rounds, started);
         Ok(report)
     }
@@ -404,7 +373,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         let shard = &self.shards[slot];
         let _reading = shard.reader_locks[j].lock();
         let started = Instant::now();
-        let report = blocking_read(&self.cluster, self.kind, shard.group.readers[j]);
+        let report = blocking_read(&self.cluster, self.kind, shard.pids.readers[j]);
         record_read(&self.ops, report.rounds, started);
         Some(report)
     }
@@ -415,12 +384,12 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     ///
     /// Panics if `slot` or `idx` is out of range.
     pub fn crash_object(&self, slot: usize, idx: usize) {
-        self.cluster.crash(self.shards[slot].group.objects[idx]);
+        self.cluster.crash(self.shards[slot].pids.objects[idx]);
     }
 
     /// The object process ids of shard `slot` (for fault injection).
     pub fn objects(&self, slot: usize) -> &[ProcessId] {
-        &self.shards[slot].group.objects
+        &self.shards[slot].pids.objects
     }
 
     /// The current history length of every regular object in shard
@@ -434,7 +403,17 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// [`vrr_core::regular::RegularObject`] (crashed or
     /// Byzantine-substituted).
     pub fn history_lens(&self, slot: usize) -> Vec<usize> {
-        crate::storage::history_lens(&self.cluster, self.kind, &self.shards[slot].group.objects)
+        assert!(
+            self.kind != ProtocolKind::Safe,
+            "safe objects keep no history"
+        );
+        self.objects(slot)
+            .iter()
+            .map(|&pid| {
+                self.cluster
+                    .invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len())
+            })
+            .collect()
     }
 
     /// Sum of the one-round fast-path counters over every reader of every
@@ -442,8 +421,15 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// armed the fast path but completed through the two-round protocol).
     pub fn fast_path_stats(&self) -> FastPathStats {
         let mut total = FastPathStats::default();
-        for shard in &self.shards {
-            let s = crate::storage::fast_path_stats(&self.cluster, self.kind, &shard.group.readers);
+        for &pid in self.shards.iter().flat_map(|shard| &shard.pids.readers) {
+            let s = match self.kind {
+                ProtocolKind::Safe => self
+                    .cluster
+                    .invoke(pid, |r: &mut SafeReader<V>, _ctx| r.fast_stats()),
+                ProtocolKind::Regular | ProtocolKind::RegularOptimized => self
+                    .cluster
+                    .invoke(pid, |r: &mut RegularReader<V>, _ctx| r.fast_stats()),
+            };
             total.hits += s.hits;
             total.fallbacks += s.fallbacks;
         }
@@ -451,9 +437,8 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     }
 
     /// One snapshot of everything observable about the store, under the
-    /// same canonical `vrr_*` names ([`vrr_core::metrics::names`]) as
-    /// [`crate::StorageCluster::metrics_snapshot`] and the simulator
-    /// harness: operation rounds/latency histograms (latency ticks are
+    /// same canonical `vrr_*` names ([`vrr_core::metrics::names`]) as the
+    /// simulator harness: operation rounds/latency histograms (latency ticks are
     /// wall-clock microseconds), worker-pool counters, store-wide
     /// fast-path counters, and per-object history-length gauges labelled
     /// with their shard slot (crashed or Byzantine-substituted objects
@@ -469,11 +454,27 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// without colliding on identical `{object, shard}` label sets.
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
         let mut reg = self.ops.lock().clone();
-        record_executor_stats(&mut reg, &self.cluster.stats());
+        let stats = self.cluster.stats();
+        reg.counter_add(metrics::names::EXECUTOR_SWEEPS, &[], stats.sweeps);
+        reg.counter_add(metrics::names::EXECUTOR_WAKEUPS, &[], stats.wakeups);
+        reg.counter_add(metrics::names::EXECUTOR_COMMANDS, &[], stats.commands);
         metrics::record_fast_path(&mut reg, &self.fast_path_stats());
         if self.kind != ProtocolKind::Safe {
             for (slot, shard) in self.shards.iter().enumerate() {
-                let lens = try_history_lens(&self.cluster, self.kind, &shard.group);
+                // Unlike `history_lens`, skip Byzantine-substituted and
+                // crashed objects instead of panicking.
+                let lens: Vec<usize> = shard
+                    .pids
+                    .objects
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !shard.byzantine.contains(i))
+                    .filter_map(|(_, &pid)| {
+                        self.cluster
+                            .try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len())
+                            .ok()
+                    })
+                    .collect();
                 metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
             }
         }
@@ -497,10 +498,39 @@ impl<K: Eq + Hash, V: Value> std::fmt::Debug for ShardedStore<K, V> {
     }
 }
 
+/// Records one completed write into `ops`. On the runtime, latency ticks
+/// are wall-clock **microseconds** (the simulator records sim ticks under
+/// the same name; the unit is the harness's to define).
+fn record_write(ops: &Mutex<Registry>, rounds: u32, started: Instant) {
+    let us = started.elapsed().as_micros() as u64;
+    let mut ops = ops.lock();
+    ops.observe(metrics::names::WRITER_ROUNDS, &[], u64::from(rounds));
+    ops.observe(metrics::names::WRITE_LATENCY, &[], us);
+}
+
+/// Records one completed read into `ops` (microsecond latency ticks, see
+/// [`record_write`]).
+fn record_read(ops: &Mutex<Registry>, rounds: u32, started: Instant) {
+    let us = started.elapsed().as_micros() as u64;
+    let mut ops = ops.lock();
+    ops.observe(metrics::names::READER_ROUNDS, &[], u64::from(rounds));
+    ops.observe(metrics::names::READ_LATENCY, &[], us);
+}
+
 #[cfg(test)]
 mod tests {
+    use vrr_core::attackers::AttackerKind;
+    use vrr_core::metrics::names;
+    use vrr_core::regular::{HistoryRetention, RegularTuning};
+
     use super::*;
+    use crate::group::ReaderTuning;
     use crate::router::NoDelay;
+
+    /// One register: a one-key store.
+    fn register(spec: GroupSpec) -> ShardedStore<(), u64> {
+        ShardedStore::deploy_spec(spec, Box::new(NoDelay), 1, |_shard, _i| None)
+    }
 
     #[test]
     fn distinct_keys_use_distinct_shards() {
@@ -548,12 +578,12 @@ mod tests {
     #[test]
     fn reader_ack_gc_bounds_history_per_shard() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<&'static str, u64> = ShardedStore::deploy_with_retention(
-            cfg,
-            ProtocolKind::RegularOptimized,
+        let spec = GroupSpec::new(cfg, ProtocolKind::RegularOptimized);
+        let store: ShardedStore<&'static str, u64> = ShardedStore::deploy_spec(
+            spec.with_retention(HistoryRetention::reader_ack(1)),
             Box::new(NoDelay),
             2,
-            HistoryRetention::reader_ack(1),
+            |_shard, _i| None,
         );
         for k in 1..=60u64 {
             store.write("hot", k);
@@ -563,6 +593,9 @@ mod tests {
                 assert_eq!(store.read(&"cold", 0).unwrap().value, Some(k));
             }
         }
+        // Acks ride on the READ broadcasts, which are flushed before the
+        // inspection command is enqueued: every object has truncated down
+        // to the concurrency window by now.
         for slot in [
             store.shard_of(&"hot").unwrap(),
             store.shard_of(&"cold").unwrap(),
@@ -571,31 +604,96 @@ mod tests {
                 assert!(len <= 5, "shard {slot} history len {len} unbounded");
             }
         }
+
+        // The control: the paper-faithful default really does grow.
+        let keep_all = register(spec);
+        for k in 1..=30u64 {
+            keep_all.write((), k);
+            assert_eq!(keep_all.read(&(), 0).unwrap().value, Some(k));
+        }
+        assert!(keep_all.history_lens(0).into_iter().all(|len| len == 31));
     }
 
     #[test]
     fn over_provisioned_shards_serve_one_round_reads() {
-        let cfg = StorageConfig::fast(1, 1, 1); // S = 5 per shard
-        let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 2);
-        store.write("a", 1);
-        store.write("b", 2);
-        for (k, v) in [("a", 1u64), ("b", 2)] {
-            let r = store.read(&k, 0).expect("written key");
-            assert_eq!(r.value, Some(v));
-            assert_eq!(r.rounds, 1);
-            assert!(r.fast);
+        // S = 2t + 2b + 1 = 5 arms the fast path: fault-free reads finish
+        // in round 1 for both protocol families.
+        let cfg = StorageConfig::fast(1, 1, 1);
+        for kind in [
+            ProtocolKind::Safe,
+            ProtocolKind::Regular,
+            ProtocolKind::RegularOptimized,
+        ] {
+            let store: ShardedStore<&'static str, u64> =
+                ShardedStore::deploy(cfg, kind, Box::new(NoDelay), 2);
+            for k in 1..=3u64 {
+                store.write("a", k);
+                store.write("b", k * 10);
+                for (key, v) in [("a", k), ("b", k * 10)] {
+                    let r = store.read(&key, 0).expect("written key");
+                    assert_eq!(r.value, Some(v), "{kind:?}");
+                    assert_eq!(r.rounds, 1, "{kind:?}");
+                    assert!(r.fast, "{kind:?}");
+                }
+            }
+            let stats = store.fast_path_stats();
+            assert_eq!(stats.hits, 6, "{kind:?}");
+            assert_eq!(stats.fallbacks, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn fast_path_stays_disarmed_at_optimal_resilience() {
+        let cfg = StorageConfig::optimal(1, 1, 1); // S = 2t + 2b: Prop. 1
+        let store = register(GroupSpec::new(cfg, ProtocolKind::RegularOptimized));
+        store.write((), 7);
+        let r = store.read(&(), 0).unwrap();
+        assert_eq!(r.value, Some(7));
+        assert_eq!(r.rounds, 2);
+        assert!(!r.fast);
+        assert_eq!(store.fast_path_stats(), FastPathStats::default());
+    }
+
+    #[test]
+    fn unreachable_threshold_forces_the_fallback_path() {
+        // The deterministic fallback-forcing deployment used by the
+        // `read/fast-fallback` bench: over-provisioned sizing, but a
+        // threshold no quorum can meet, so every read arms the fast path
+        // and then completes through the two-round protocol.
+        let cfg = StorageConfig::fast(1, 1, 1);
+        let store = register(
+            GroupSpec::new(cfg, ProtocolKind::RegularOptimized).with_tuning(ReaderTuning::Regular(
+                RegularTuning {
+                    fast_threshold: Some(usize::MAX),
+                    ..RegularTuning::default()
+                },
+            )),
+        );
+        for k in 1..=4u64 {
+            store.write((), k);
+            let r = store.read(&(), 0).unwrap();
+            assert_eq!(r.value, Some(k));
+            assert_eq!(r.rounds, 2);
+            assert!(!r.fast);
         }
         let stats = store.fast_path_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.fallbacks, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn mismatched_reader_tuning_panics() {
+        let cfg = StorageConfig::fast(1, 1, 1);
+        register(
+            GroupSpec::new(cfg, ProtocolKind::Safe)
+                .with_tuning(ReaderTuning::Regular(RegularTuning::default())),
+        );
     }
 
     #[test]
     fn metrics_snapshot_labels_histories_by_shard() {
-        use vrr_core::metrics::names;
-
-        let cfg = StorageConfig::optimal(1, 1, 1);
+        let cfg = StorageConfig::fast(1, 1, 1);
         let store: ShardedStore<&'static str, u64> =
             ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 2);
         store.write("a", 1);
@@ -610,14 +708,38 @@ mod tests {
             snap.histogram(names::READER_ROUNDS, &[]).unwrap().count(),
             1
         );
+        assert_eq!(snap.histogram(names::READ_LATENCY, &[]).unwrap().count(), 1);
+        let hits = snap.counter(names::READER_FAST_HITS, &[]);
+        let fallbacks = snap.counter(names::READER_FAST_FALLBACKS, &[]);
+        assert_eq!(hits + fallbacks, 1, "every read hit or fell back");
+        assert!(snap.counter(names::EXECUTOR_COMMANDS, &[]) > 0);
         // One gauge per object per shard, distinguished by the shard label.
         assert_eq!(
             snap.gauge_values(names::OBJECT_HISTORY_LEN).len(),
             2 * cfg.s
         );
-        assert!(snap
-            .to_prometheus()
-            .contains("vrr_object_history_len{object=\"0\",shard=\"1\"}"));
+        // The snapshot speaks the same text format as the sim harness.
+        let text = snap.to_prometheus();
+        assert!(text.contains("# TYPE vrr_writer_rounds histogram"));
+        assert!(text.contains("vrr_object_history_len{object=\"0\",shard=\"1\"}"));
+    }
+
+    #[test]
+    fn snapshot_tolerates_crashed_and_byzantine_objects() {
+        let cfg = StorageConfig::fast(1, 1, 1);
+        let store: ShardedStore<(), u64> = ShardedStore::deploy_with_objects(
+            cfg,
+            ProtocolKind::RegularOptimized,
+            Box::new(NoDelay),
+            1,
+            |_shard, i| (i == 4).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD)),
+        );
+        store.write((), 1);
+        assert_eq!(store.read(&(), 0).unwrap().value, Some(1));
+        store.crash_object(0, 0);
+        let snap = store.metrics_snapshot();
+        // 5 objects - 1 Byzantine - 1 crashed = 3 inspectable histories.
+        assert_eq!(snap.gauge_values(names::OBJECT_HISTORY_LEN).len(), 3);
     }
 
     #[test]

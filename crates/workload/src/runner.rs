@@ -2,10 +2,9 @@
 //! protocol under a [`FaultPlan`], producing a checkable operation history,
 //! round-count statistics and a metrics snapshot.
 //!
-//! The entry points are [`SimCase`] — a builder that owns the recurring
-//! test shape (sizing + schedule + faults + latency + optional scripted
-//! partitions) — and the original [`run_schedule`] function, now a thin
-//! wrapper over it. Both compile down to [`vrr_sim::Scenario`], so scripted
+//! The entry point is [`SimCase`] — a builder that owns the recurring test
+//! shape (sizing + schedule + faults + latency + optional scripted
+//! partitions). It compiles down to [`vrr_sim::Scenario`], so scripted
 //! partitions and heals fire while operations are in flight.
 
 use vrr_checker::OpHistory;
@@ -508,35 +507,6 @@ struct ActiveOp {
     is_write: bool,
 }
 
-/// Runs `schedule` against `protocol` under `faults`.
-///
-/// Clients invoke each planned operation at its target time or as soon as
-/// their previous operation completes, whichever is later. Returns the
-/// recorded history and statistics. Equivalent to a [`SimCase`] with an
-/// explicit corruptor and no scripted network events.
-///
-/// # Panics
-///
-/// Panics if the fault plan exceeds the configuration's budget, or the run
-/// exceeds the internal step limit.
-pub fn run_schedule<P: RegisterProtocol<u64>>(
-    protocol: &P,
-    cfg: StorageConfig,
-    schedule: &Schedule,
-    faults: &FaultPlan,
-    latency: LatencyKind,
-    seed: u64,
-    corrupt: &Corruptor<P::Msg>,
-) -> RunOutcome {
-    SimCase::new(protocol, cfg)
-        .with_schedule(schedule.clone())
-        .faults(faults.clone())
-        .latency(latency)
-        .seed(seed)
-        .corruptor(corrupt)
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use vrr_checker::{check_regularity, check_safety};
@@ -549,16 +519,9 @@ mod tests {
     #[test]
     fn sequential_run_is_safe_and_live() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let schedule = generate(ScheduleParams::sequential(5, 5, 2, 3));
-        let out = run_schedule(
-            &SafeProtocol,
-            cfg,
-            &schedule,
-            &FaultPlan::none(),
-            LatencyKind::Unit,
-            3,
-            &safe_corruptor,
-        );
+        let out = SimCase::new(&SafeProtocol, cfg)
+            .schedule(ScheduleParams::sequential(5, 5, 2, 3))
+            .run();
         assert!(out.all_live());
         assert_eq!(out.write_rounds.len(), 5);
         assert_eq!(out.read_rounds.len(), 10);
@@ -569,17 +532,12 @@ mod tests {
     #[test]
     fn contended_run_with_max_faults_is_regular() {
         let cfg = StorageConfig::optimal(2, 1, 2);
-        let schedule = generate(ScheduleParams::contended(8, 8, 2, 11));
         let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(40));
-        let out = run_schedule(
-            &RegularProtocol::full(),
-            cfg,
-            &schedule,
-            &faults,
-            LatencyKind::Uniform(1, 10),
-            11,
-            &regular_corruptor,
-        );
+        let out = SimCase::new(&RegularProtocol::full(), cfg)
+            .schedule(ScheduleParams::contended(8, 8, 2, 11))
+            .faults(faults)
+            .latency(LatencyKind::Uniform(1, 10))
+            .run();
         assert!(out.all_live(), "stalled: {}", out.stalled_ops);
         assert!(check_regularity(&out.history).is_ok());
         assert_eq!(out.max_read_rounds(), 2);
@@ -590,17 +548,11 @@ mod tests {
     fn random_fault_sweep_stays_consistent() {
         for seed in 0..10 {
             let cfg = StorageConfig::optimal(2, 2, 1);
-            let schedule = generate(ScheduleParams::contended(4, 6, 1, seed));
-            let faults = FaultPlan::random(&cfg, 200, seed);
-            let out = run_schedule(
-                &SafeProtocol,
-                cfg,
-                &schedule,
-                &faults,
-                LatencyKind::LongTail,
-                seed,
-                &safe_corruptor,
-            );
+            let out = SimCase::new(&SafeProtocol, cfg)
+                .schedule(ScheduleParams::contended(4, 6, 1, seed))
+                .faults(FaultPlan::random(&cfg, 200, seed))
+                .latency(LatencyKind::LongTail)
+                .run();
             assert!(out.all_live(), "seed {seed} stalled {}", out.stalled_ops);
             assert!(
                 check_safety(&out.history).is_ok(),
@@ -611,34 +563,33 @@ mod tests {
     }
 
     #[test]
-    fn sim_case_defaults_match_run_schedule() {
+    fn sim_case_defaults_match_explicit_settings() {
         let cfg = StorageConfig::optimal(1, 1, 2);
         let params = ScheduleParams::contended(6, 4, 2, 17);
         let faults = FaultPlan::maximal(&cfg, AttackerKind::Stale, SimTime::from_ticks(20));
-        let via_case = SimCase::new(&RegularProtocol::optimized(), cfg)
+        let defaults = SimCase::new(&RegularProtocol::optimized(), cfg)
             .schedule(params)
             .faults(faults.clone())
             .latency(LatencyKind::Uniform(1, 5))
             .run();
-        let via_fn = run_schedule(
-            &RegularProtocol::optimized(),
-            cfg,
-            &generate(params),
-            &faults,
-            LatencyKind::Uniform(1, 5),
-            17,
-            &regular_corruptor,
-        );
-        // The protocol's own catalogue and the explicit corruptor build the
-        // same attackers, so the runs are identical.
+        let explicit = SimCase::new(&RegularProtocol::optimized(), cfg)
+            .with_schedule(generate(params))
+            .faults(faults)
+            .latency(LatencyKind::Uniform(1, 5))
+            .seed(17)
+            .corruptor(&regular_corruptor)
+            .run();
+        // The schedule's seed is the default run seed, and the protocol's
+        // own catalogue and the explicit corruptor build the same
+        // attackers, so the runs are identical.
         assert_eq!(
-            format!("{:?}", via_case.history),
-            format!("{:?}", via_fn.history)
+            format!("{:?}", defaults.history),
+            format!("{:?}", explicit.history)
         );
-        assert_eq!(via_case.read_rounds, via_fn.read_rounds);
+        assert_eq!(defaults.read_rounds, explicit.read_rounds);
         assert_eq!(
-            via_case.metrics.to_prometheus(),
-            via_fn.metrics.to_prometheus()
+            defaults.metrics.to_prometheus(),
+            explicit.metrics.to_prometheus()
         );
     }
 

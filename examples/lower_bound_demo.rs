@@ -10,10 +10,9 @@
 use vrr::lowerbound::{
     execute_control, execute_prop1, render_all, BlockPartition, LitePairSpec, ReadRule, Verdict,
 };
-use vrr_core::regular::HistoryRetention;
 use vrr_core::regular::RegularTuning;
 use vrr_core::StorageConfig;
-use vrr_runtime::{NoDelay, ProtocolKind, ReaderTuning, StorageCluster};
+use vrr_runtime::{GroupSpec, NoDelay, ProtocolKind, ReaderTuning, ShardedStore};
 
 fn main() {
     let (t, b) = (1usize, 1usize);
@@ -92,18 +91,16 @@ fn main() {
     let boundary = StorageConfig::with_objects(s, t, b, 1); // S = 2t+2b
     assert_eq!(boundary.fast_read_quorum(), None);
 
-    let mutant: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
-        boundary,
-        ProtocolKind::Regular,
-        Box::new(NoDelay),
-        HistoryRetention::KeepAll,
-        ReaderTuning::Regular(RegularTuning {
+    let spec = GroupSpec::new(boundary, ProtocolKind::Regular).with_tuning(ReaderTuning::Regular(
+        RegularTuning {
             skip_round2: true,
             ..RegularTuning::default()
-        }),
-    );
-    mutant.write(42);
-    let r = mutant.read(0);
+        },
+    ));
+    let mutant: ShardedStore<(), u64> =
+        ShardedStore::deploy_spec(spec, Box::new(NoDelay), 1, |_shard, _i| None);
+    mutant.write((), 42);
+    let r = mutant.read(&(), 0).expect("the key is bound");
     println!(
         "S = {s} (= 2t+2b), skip_round2 mutant:  rounds = {}, fast = {} — it",
         r.rounds, r.fast
@@ -112,10 +109,10 @@ fn main() {
     println!("      above convict. (Fault-free it happens to be right; adversarially");
     println!("      it cannot be — see `thm34_regular` for the conviction.)");
 
-    let sound: StorageCluster<u64> =
-        StorageCluster::deploy(boundary, ProtocolKind::Regular, Box::new(NoDelay));
-    sound.write(42);
-    let r = sound.read(0);
+    let sound: ShardedStore<(), u64> =
+        ShardedStore::deploy(boundary, ProtocolKind::Regular, Box::new(NoDelay), 1);
+    sound.write((), 42);
+    let r = sound.read(&(), 0).expect("the key is bound");
     let stats = sound.fast_path_stats();
     println!(
         "S = {s} (= 2t+2b), sound fast path:     rounds = {}, fast = {} — it",
@@ -130,10 +127,10 @@ fn main() {
     assert_eq!((stats.hits, stats.fallbacks), (0, 0));
 
     let fast_cfg = StorageConfig::fast(t, b, 1); // S = 2t+2b+1
-    let fast: StorageCluster<u64> =
-        StorageCluster::deploy(fast_cfg, ProtocolKind::Regular, Box::new(NoDelay));
-    fast.write(42);
-    let r = fast.read(0);
+    let fast: ShardedStore<(), u64> =
+        ShardedStore::deploy(fast_cfg, ProtocolKind::Regular, Box::new(NoDelay), 1);
+    fast.write((), 42);
+    let r = fast.read(&(), 0).expect("the key is bound");
     println!(
         "S = {} (= 2t+2b+1), sound fast path:   rounds = {}, fast = {} — one",
         fast_cfg.s, r.rounds, r.fast

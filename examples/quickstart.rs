@@ -7,7 +7,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use vrr::core::{run_read, run_write, RegisterProtocol, SafeProtocol, StorageConfig};
-use vrr::runtime::{NoDelay, ProtocolKind, StorageCluster};
+use vrr::runtime::{NoDelay, ProtocolKind, ShardedStore};
 use vrr::sim::World;
 
 fn main() {
@@ -46,11 +46,12 @@ fn main() {
     assert_eq!(r.value.as_deref(), Some("world"));
 
     // ---- On threads ------------------------------------------------------
-    let storage: StorageCluster<String> =
-        StorageCluster::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay));
+    // One register is a one-key store: the key is `()`.
+    let storage: ShardedStore<(), String> =
+        ShardedStore::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay), 1);
     let started = std::time::Instant::now();
-    storage.write("hello from threads".to_string());
-    let r = storage.read(0);
+    storage.write((), "hello from threads".to_string());
+    let r = storage.read(&(), 0).expect("the key is bound");
     println!(
         "[thread] WRITE + READ     -> {:?} in {:.1?} (S = {} object threads)",
         r.value,

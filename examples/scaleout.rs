@@ -36,27 +36,19 @@ fn main() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let rc = RouterConfig::new(2, KEYS as usize).with_seed(2006);
     let router: Arc<StoreRouter<u64, u64>> =
-        Arc::new(StoreRouter::deploy_with_stores(rc, move |cluster| {
-            if cluster == 0 {
-                // Cluster 0 is compromised: every register group hosts a
-                // suffix liar in its last object slot (within b = 1).
-                ShardedStore::deploy_with_objects(
-                    cfg,
-                    ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
-                    KEYS as usize,
-                    move |_shard, i| {
-                        (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
-                    },
-                )
-            } else {
-                ShardedStore::deploy(
-                    cfg,
-                    ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
-                    KEYS as usize,
-                )
-            }
+        Arc::new(StoreRouter::deploy_with_backends(rc, move |cluster| {
+            // Cluster 0 is compromised: every register group hosts a suffix
+            // liar in its last object slot (within b = 1).
+            Arc::new(ShardedStore::deploy_with_objects(
+                cfg,
+                ProtocolKind::RegularOptimized,
+                Box::new(NoDelay),
+                KEYS as usize,
+                move |_shard, i| {
+                    (cluster == 0 && i == cfg.s - 1)
+                        .then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
+                },
+            ))
         }));
     println!(
         "router: {} clusters x {} register shards, {} ring slots, seed {}",

@@ -26,7 +26,7 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, MetricsSink};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{Msg, StorageConfig};
-use vrr_runtime::{LinkAction, LinkPolicy, ProtocolKind, StorageCluster};
+use vrr_runtime::{GroupSpec, LinkAction, LinkPolicy, ProtocolKind, ShardedStore};
 use vrr_sim::ProcessId;
 pub use vrr_workload::soak::{
     check_metrics_relations, run_sim_soak, MetricsExpectations, SoakParams, SoakReport,
@@ -70,13 +70,13 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     // account for every read. The Truncator at the last index occupies the
     // whole fault budget (t = b = 1), so no additional crash is injected.
     let cfg = StorageConfig::fast(1, 1, 2);
-    let retention = HistoryRetention::reader_ack_capped(cfg.readers, params.cap);
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention_and_objects(
-        cfg,
-        ProtocolKind::RegularOptimized,
+    let spec = GroupSpec::new(cfg, ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack_capped(cfg.readers, params.cap));
+    let storage: ShardedStore<(), u64> = ShardedStore::deploy_spec(
+        spec,
         Box::new(SoakJitter { state: params.seed }),
-        retention,
-        |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
+        1,
+        |_shard, i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
     );
 
     let mut history = OpHistory::new();
@@ -85,12 +85,12 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     for i in 0..params.iters {
         let seq = i + 1;
         let value = seq * 10;
-        storage.write(value);
+        storage.write((), value);
         history.push_write(seq, value, step, Some(step + 1));
         step += 2;
 
         let j = (i % cfg.readers as u64) as usize;
-        let rep = storage.read(j);
+        let rep = storage.read(&(), j).expect("the key is bound");
         history.push_read(j, rep.ts.0, rep.value, step, Some(step + 1));
         step += 2;
         if rep.value != Some(value) {

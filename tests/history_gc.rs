@@ -11,7 +11,7 @@ use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::regular::{HistoryRetention, RegularReader};
 use vrr::core::{RegularProtocol, StorageConfig, StorageScenario, Timestamp};
-use vrr::runtime::{NoDelay, ProtocolKind, ShardedStore, StorageCluster};
+use vrr::runtime::{GroupSpec, NoDelay, ProtocolKind, ShardedStore};
 
 #[test]
 fn steady_state_memory_is_flat_in_run_length() {
@@ -183,22 +183,21 @@ fn forged_acks_from_byzantine_objects_do_not_exist_but_forged_suffixes_die() {
 
 #[test]
 fn runtime_cluster_and_sharded_store_run_bounded_memory() {
-    // The worker-pool deployments: same flat-memory property end to end,
-    // observable both through the direct accessor and the same
-    // metrics-snapshot gauges the simulator exports.
+    // The worker-pool store, as one register (a one-key store) and with
+    // two keys: same flat-memory property end to end, observable both
+    // through the direct accessor and the same metrics-snapshot gauges
+    // the simulator exports.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention(
-        cfg,
-        ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
-        HistoryRetention::reader_ack(1),
-    );
+    let spec = GroupSpec::new(cfg, ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack(1));
+    let register: ShardedStore<(), u64> =
+        ShardedStore::deploy_spec(spec, Box::new(NoDelay), 1, |_shard, _i| None);
     for k in 1..=64u64 {
-        storage.write(k);
-        assert_eq!(storage.read(0).value, Some(k));
+        register.write((), k);
+        assert_eq!(register.read(&(), 0).unwrap().value, Some(k));
     }
-    assert!(storage.history_lens().into_iter().all(|len| len <= 5));
-    let snap = storage.metrics_snapshot();
+    assert!(register.history_lens(0).into_iter().all(|len| len <= 5));
+    let snap = register.metrics_snapshot();
     assert!(snap
         .gauge_values(names::OBJECT_HISTORY_LEN)
         .into_iter()
@@ -208,13 +207,8 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
         64
     );
 
-    let store: ShardedStore<&'static str, u64> = ShardedStore::deploy_with_retention(
-        cfg,
-        ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
-        2,
-        HistoryRetention::reader_ack(1),
-    );
+    let store: ShardedStore<&'static str, u64> =
+        ShardedStore::deploy_spec(spec, Box::new(NoDelay), 2, |_shard, _i| None);
     for k in 1..=32u64 {
         store.write("a", k);
         store.write("b", k * 2);

@@ -8,10 +8,11 @@ use std::time::{Duration, Instant};
 
 use vrr::core::attackers::AttackerKind;
 use vrr::core::StorageConfig;
-use vrr::runtime::{
-    Cluster, FixedDelay, NoDelay, NodeGone, ProtocolKind, ShardedStore, StorageCluster,
-};
+use vrr::runtime::{Cluster, FixedDelay, NoDelay, NodeGone, ProtocolKind, ShardedStore};
 use vrr::sim::{from_fn, Automaton, Context, ProcessId};
+
+/// One register: a one-key store.
+type Register = ShardedStore<(), u64>;
 
 #[test]
 fn all_variants_round_trip_on_threads() {
@@ -21,12 +22,12 @@ fn all_variants_round_trip_on_threads() {
         ProtocolKind::RegularOptimized,
     ] {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind, Box::new(NoDelay));
+        let storage = Register::deploy(cfg, kind, Box::new(NoDelay), 1);
         for k in 1..=4u64 {
-            let w = storage.write(k * 3);
+            let w = storage.write((), k * 3);
             assert_eq!(w.rounds, 2);
             for j in 0..2 {
-                let r = storage.read(j);
+                let r = storage.read(&(), j).unwrap();
                 assert_eq!(r.value, Some(k * 3), "{kind:?} reader {j}");
                 assert_eq!(r.rounds, 2);
             }
@@ -38,12 +39,12 @@ fn all_variants_round_trip_on_threads() {
 fn byzantine_objects_on_threads_are_filtered() {
     let cfg = StorageConfig::optimal(2, 2, 1);
     for attacker in AttackerKind::ALL {
-        let storage: StorageCluster<u64> =
-            StorageCluster::deploy_with_objects(cfg, ProtocolKind::Safe, Box::new(NoDelay), |i| {
+        let storage =
+            Register::deploy_with_objects(cfg, ProtocolKind::Safe, Box::new(NoDelay), 1, |_, i| {
                 (i < cfg.b).then(|| attacker.build_safe(cfg, 0xDEAD))
             });
-        storage.write(77);
-        let r = storage.read(0);
+        storage.write((), 77);
+        let r = storage.read(&(), 0).unwrap();
         assert_eq!(r.value, Some(77), "{attacker:?} corrupted a threaded read");
         assert_eq!(r.rounds, 2);
     }
@@ -52,33 +53,34 @@ fn byzantine_objects_on_threads_are_filtered() {
 #[test]
 fn crashes_within_budget_are_transparent() {
     let cfg = StorageConfig::optimal(2, 1, 1); // t = 2
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
-    storage.write(1);
-    storage.crash_object(1);
-    storage.write(2);
-    storage.crash_object(4);
-    storage.write(3);
-    assert_eq!(storage.read(0).value, Some(3));
+    let storage = Register::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 1);
+    storage.write((), 1);
+    storage.crash_object(0, 1);
+    storage.write((), 2);
+    storage.crash_object(0, 4);
+    storage.write((), 3);
+    assert_eq!(storage.read(&(), 0).unwrap().value, Some(3));
 }
 
 #[test]
 fn link_delay_slows_but_does_not_break() {
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> = StorageCluster::deploy(
-        cfg,
-        ProtocolKind::Safe,
-        Box::new(FixedDelay(Duration::from_millis(2))),
-    );
-    let t0 = std::time::Instant::now();
-    storage.write(5);
-    let w_elapsed = t0.elapsed();
-    assert_eq!(storage.read(0).value, Some(5));
-    // Two rounds x two link crossings x 2 ms each ≈ at least 8 ms.
-    assert!(
-        w_elapsed >= Duration::from_millis(7),
-        "write finished too fast for 2 round-trips over 2 ms links: {w_elapsed:?}"
-    );
+    for kind in [ProtocolKind::Safe, ProtocolKind::Regular] {
+        let storage =
+            Register::deploy(cfg, kind, Box::new(FixedDelay(Duration::from_millis(2))), 1);
+        for k in 1..=3u64 {
+            let t0 = std::time::Instant::now();
+            storage.write((), k * 10);
+            let w_elapsed = t0.elapsed();
+            assert_eq!(storage.read(&(), 0).unwrap().value, Some(k * 10));
+            // Two rounds x two link crossings x 2 ms each ≈ at least 8 ms.
+            assert!(
+                w_elapsed >= Duration::from_millis(7),
+                "{kind:?} write finished too fast for 2 round-trips over 2 ms links: \
+                 {w_elapsed:?}"
+            );
+        }
+    }
 }
 
 /// ≥512 processes exchange >100k messages on a 4-worker pool: every
@@ -174,10 +176,9 @@ fn idle_cluster_makes_zero_spurious_wakeups() {
 #[test]
 fn try_invoke_distinguishes_live_and_crashed_nodes() {
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
-    storage.write(3);
-    let object = storage.objects()[0];
+    let storage = Register::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 1);
+    storage.write((), 3);
+    let object = storage.objects(0)[0];
 
     // Live: try_invoke behaves exactly like invoke.
     let label = storage
@@ -190,7 +191,7 @@ fn try_invoke_distinguishes_live_and_crashed_nodes() {
     assert_eq!(label, "regular-object");
 
     // Crashed: the closure is dropped and the caller gets NodeGone.
-    storage.crash_object(0);
+    storage.crash_object(0, 0);
     let gone = storage.cluster().try_invoke(
         object,
         |o: &mut vrr::core::regular::RegularObject<u64>, _ctx| o.label(),
@@ -198,8 +199,8 @@ fn try_invoke_distinguishes_live_and_crashed_nodes() {
     assert_eq!(gone, Err(NodeGone(object)));
 
     // The protocol still works around the crash (within budget t = 1).
-    storage.write(4);
-    assert_eq!(storage.read(0).value, Some(4));
+    storage.write((), 4);
+    assert_eq!(storage.read(&(), 0).unwrap().value, Some(4));
 }
 
 /// 64 keys on a sharded store: per-shard writers let concurrent client
@@ -246,13 +247,12 @@ fn concurrent_readers_under_churn_stay_consistent() {
     // but the §5.1 reader's cache does (candidates come from the suffix at
     // or above the last returned timestamp).
     let cfg = StorageConfig::optimal(2, 1, 3);
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+    let storage = Register::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 1);
     std::thread::scope(|scope| {
         let storage = &storage;
         scope.spawn(move || {
             for k in 1..=30u64 {
-                storage.write(k);
+                storage.write((), k);
             }
         });
         let mut handles = Vec::new();
@@ -260,7 +260,10 @@ fn concurrent_readers_under_churn_stay_consistent() {
             handles.push(scope.spawn(move || {
                 let mut last = vrr::core::Timestamp::ZERO;
                 for _ in 0..20 {
-                    let r = storage.read(j);
+                    // `None` until the first write binds the key.
+                    let Some(r) = storage.read(&(), j) else {
+                        continue;
+                    };
                     if let Some(v) = r.value {
                         assert!((1..=30).contains(&v), "phantom value {v}");
                         assert_eq!(r.ts.0, v, "value/timestamp drift");

@@ -25,7 +25,8 @@ use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::StorageConfig;
 use vrr::runtime::{
-    stable_hash_64, NoDelay, ProtocolKind, RingTable, RouterConfig, ShardedStore, StoreRouter,
+    stable_hash_64, GroupSpec, NoDelay, ProtocolKind, RingTable, RouterConfig, ShardedStore,
+    StoreRouter,
 };
 
 // ---------------------------------------------------------------------------
@@ -115,24 +116,21 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
     // Per-group budget (t, b) = (2, 1): S = 6 objects tolerate one
     // Byzantine liar plus one crash.
     let cfg = StorageConfig::optimal(2, 1, 1);
-    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy_with_stores(
+    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy_with_backends(
         RouterConfig::new(2, 40).with_ring_slots(16).with_seed(2006),
         move |cluster| {
-            if cluster == 0 {
-                // Every register group of cluster 0 hosts a Truncator (a
-                // suffix liar forging FORGED) in its last object slot.
-                ShardedStore::deploy_with_objects(
-                    cfg,
-                    ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
-                    40,
-                    move |_shard, i| {
-                        (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
-                    },
-                )
-            } else {
-                ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 40)
-            }
+            // Every register group of cluster 0 hosts a Truncator (a suffix
+            // liar forging FORGED) in its last object slot.
+            Arc::new(ShardedStore::deploy_with_objects(
+                cfg,
+                ProtocolKind::RegularOptimized,
+                Box::new(NoDelay),
+                40,
+                move |_shard, i| {
+                    (cluster == 0 && i == cfg.s - 1)
+                        .then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
+                },
+            ))
         },
     ));
 
@@ -266,8 +264,7 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
 fn remove_cluster_racing_in_flight_writes_loses_nothing() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy(
-        cfg,
-        ProtocolKind::RegularOptimized,
+        GroupSpec::new(cfg, ProtocolKind::RegularOptimized),
         RouterConfig::new(2, 40).with_ring_slots(16).with_seed(2006),
     ));
     for key in 0..KEYS {
